@@ -90,24 +90,36 @@ class _EpochCached:
             )
 
 
-class VertexScheduler(_EpochCached):
-    """The asynchronous vertex process: uniform vertex, uniform neighbour."""
+class _NeighbourSampler(_EpochCached):
+    """Epoch cache of the vertex-process family: ``v`` then a uniform neighbour."""
+
+    _degrees: Optional[np.ndarray] = None
 
     def _rebuild(self, graph: Graph) -> None:
-        if graph.m == 0 or np.any(graph.degrees == 0):
-            raise ProcessError("the vertex process needs every vertex to have a neighbour")
+        # Churn shares one degrees array across epochs, so after the
+        # first check an epoch rebuild is a pointer swap.
+        if graph.degrees is not self._degrees:
+            if graph.m == 0 or np.any(graph.degrees == 0):
+                raise ProcessError("the vertex process needs every vertex to have a neighbour")
+            self._degrees = graph.degrees
         self._cached = graph
-        self._degrees = graph.degrees
+
+    def _neighbours(self, rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
+        """A uniform neighbour of each vertex in ``v``."""
+        graph = self._cached
+        offsets = rng.integers(0, self._degrees[v])
+        return graph.indices[graph.indptr[v] + offsets]
+
+
+class VertexScheduler(_NeighbourSampler):
+    """The asynchronous vertex process: uniform vertex, uniform neighbour."""
 
     def draw_block(
         self, rng: np.random.Generator, size: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         self._check_epoch()
-        graph = self._cached
-        v = rng.integers(0, graph.n, size=size)
-        offsets = rng.integers(0, self._degrees[v])
-        w = graph.indices[graph.indptr[v] + offsets]
-        return v, w
+        v = rng.integers(0, self._cached.n, size=size)
+        return v, self._neighbours(rng, v)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VertexScheduler({self.graph.name})"
@@ -137,7 +149,7 @@ class EdgeScheduler(_EpochCached):
         return f"EdgeScheduler({self.graph.name})"
 
 
-class BiasedScheduler(_EpochCached):
+class BiasedScheduler(_NeighbourSampler):
     """A vertex process whose updating vertex is biased toward extremes.
 
     The updating vertex ``v`` is drawn with probability proportional to
@@ -166,12 +178,6 @@ class BiasedScheduler(_EpochCached):
         self.bias = float(bias)
         super().__init__(source)
 
-    def _rebuild(self, graph: Graph) -> None:
-        if graph.m == 0 or np.any(graph.degrees == 0):
-            raise ProcessError("the vertex process needs every vertex to have a neighbour")
-        self._cached = graph
-        self._degrees = graph.degrees
-
     def draw_block(
         self, rng: np.random.Generator, size: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -189,21 +195,20 @@ class BiasedScheduler(_EpochCached):
             weights = 1.0 + self.bias * dist
             p = weights / weights.sum()
             v = rng.choice(graph.n, size=size, p=p)
-        offsets = rng.integers(0, self._degrees[v])
-        w = graph.indices[graph.indptr[v] + offsets]
-        return v, w
+        return v, self._neighbours(rng, v)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BiasedScheduler({self.graph.name}, bias={self.bias})"
 
 
-class AdversarialScheduler(_EpochCached):
+class AdversarialScheduler(_NeighbourSampler):
     """A worst-case probe: interior vertices are shown extreme neighbours.
 
     Starts from a plain vertex-process draw; then, independently with
     probability ``strength`` per pair, replaces the observed neighbour
     ``w`` by the neighbour of ``v`` whose opinion is *farthest from the
-    centre* of the current range (first such neighbour on ties).  Under
+    centre* of the current range — on ties, the first such neighbour in
+    ``v``'s sorted CSR row, i.e. the smallest vertex id.  Under
     DIV this maximally re-inflates the range — each redirected
     interaction pulls ``v`` toward an extreme — making it the natural
     adversary for the extreme-contraction stage (Lemma 4 / E13).
@@ -213,6 +218,11 @@ class AdversarialScheduler(_EpochCached):
     consumes engine randomness, the redirect target is a deterministic
     function of the state, and every kernel sees the same state at every
     block draw.
+
+    All redirects of a block are resolved in one vectorised segmented
+    pass over the CSR rows of the redirected vertices (see
+    :meth:`_most_extreme_neighbour`), so the probe costs about as much
+    as a plain vertex-process draw.
     """
 
     def __init__(
@@ -224,37 +234,40 @@ class AdversarialScheduler(_EpochCached):
         self.strength = float(strength)
         super().__init__(source)
 
-    def _rebuild(self, graph: Graph) -> None:
-        if graph.m == 0 or np.any(graph.degrees == 0):
-            raise ProcessError("the vertex process needs every vertex to have a neighbour")
-        self._cached = graph
-        self._degrees = graph.degrees
-
     def draw_block(
         self, rng: np.random.Generator, size: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         self._check_epoch()
-        graph = self._cached
-        v = rng.integers(0, graph.n, size=size)
-        offsets = rng.integers(0, self._degrees[v])
-        w = graph.indices[graph.indptr[v] + offsets]
+        v = rng.integers(0, self._cached.n, size=size)
+        w = self._neighbours(rng, v)
         if self.strength > 0.0:
-            redirect = rng.random(size) < self.strength
-            hits = np.flatnonzero(redirect)
+            hits = np.flatnonzero(rng.random(size) < self.strength)
             if hits.size:
-                state = self.state
-                values = state.values
-                centre = state.min_opinion + state.max_opinion
-                indptr = graph.indptr
-                indices = graph.indices
-                w = w.copy() if not w.flags.writeable else w
-                for idx in hits.tolist():
-                    nbrs = indices[indptr[v[idx]] : indptr[v[idx] + 1]]
-                    # Farthest-from-centre neighbour; argmax takes the
-                    # first on ties, keeping the choice deterministic.
-                    extremity = np.abs(2 * values[nbrs] - centre)
-                    w[idx] = nbrs[int(np.argmax(extremity))]
+                w[hits] = self._most_extreme_neighbour(v[hits])
         return v, w
+
+    def _most_extreme_neighbour(self, v: np.ndarray) -> np.ndarray:
+        """Each vertex's neighbour farthest from the centre of the range.
+
+        One segmented pass over the CSR rows of ``v``: the rows are
+        gathered end to end, ``np.maximum.reduceat`` takes each row's
+        largest ``|2·x - centre|``, and the first slot of each row
+        attaining it is picked — ``argmax``'s tie rule, so the first
+        such neighbour in the sorted row wins.
+        """
+        graph = self._cached
+        state = self.state
+        extremity = np.abs(2 * state.values - (state.min_opinion + state.max_opinion))
+        lens = self._degrees[v]
+        starts = np.cumsum(lens) - lens
+        total = int(starts[-1] + lens[-1])
+        nbrs = graph.indices[np.repeat(graph.indptr[v] - starts, lens) + np.arange(total)]
+        row_extremity = extremity[nbrs]
+        peak = np.maximum.reduceat(row_extremity, starts)
+        # Every row attains its own peak, so the first hit at or after a
+        # row's start lies in that row.
+        hits = np.flatnonzero(row_extremity == np.repeat(peak, lens))
+        return nbrs[hits[hits.searchsorted(starts)]]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AdversarialScheduler({self.graph.name}, strength={self.strength})"

@@ -46,7 +46,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.errors import GraphConstructionError, ProcessError
+from repro.errors import ProcessError
 from repro.graphs.graph import Graph
 from repro.rng import make_rng
 
@@ -97,22 +97,43 @@ def rewire_edges(graph: Graph, rng: np.random.Generator, swaps: int) -> Graph:
     ``{a, d}, {c, b}`` — every vertex keeps its degree.  An attempt is
     skipped (not retried) when it would create a self-loop or a
     duplicate edge, so the procedure is a deterministic function of the
-    generator state.  Returns a new :class:`Graph`; the input is never
-    mutated.
+    generator state.  Returns a new :class:`Graph` iff some attempt was
+    accepted; the input is never mutated.
+
+    Cost model: attempts index slots of ``graph.edge_array`` and test
+    membership by binary search in the sorted CSR rows of ``graph``
+    plus a small overlay of this event's own edits — O(swaps·log d),
+    no Python work over all ``m`` edges.  The next epoch's graph then
+    re-sorts only the touched rows and merges the changed edges into
+    ``edge_array`` (``Graph._with_swapped_edges``: O(swaps·(d + log m))
+    plus copying both arrays), so it equals ``Graph(n, edges)`` array
+    for array and the next event samples the same slots a full rebuild
+    would.
     """
     m = graph.m
     if m < 2:
         return graph
-    edges = graph.edge_array.copy()
-    present = {(int(u), int(v)) for u, v in edges}
-    changed = False
+    base = graph.edge_array
+    indptr, indices = graph.indptr, graph.indices
+    slots = {}  # edge_array slot -> this event's edge in it
+    overlay = {}  # edge -> whether present, for edges this event edited
+
+    def present(edge):
+        known = overlay.get(edge)
+        if known is not None:
+            return known
+        u, v = edge
+        lo, hi = indptr.item(u), indptr.item(u + 1)
+        k = lo + indices[lo:hi].searchsorted(v)
+        return k < hi and indices.item(k) == v
+
     for _ in range(swaps):
-        i, j = (int(x) for x in rng.integers(0, m, size=2))
+        i, j = rng.integers(0, m, size=2).tolist()
         flip = int(rng.integers(0, 2))
         if i == j:
             continue
-        a, b = int(edges[i, 0]), int(edges[i, 1])
-        c, d = int(edges[j, 0]), int(edges[j, 1])
+        a, b = slots.get(i) or base[i].tolist()
+        c, d = slots.get(j) or base[j].tolist()
         if flip:
             c, d = d, c
         # Propose {a, d} and {c, b}.
@@ -120,21 +141,21 @@ def rewire_edges(graph: Graph, rng: np.random.Generator, swaps: int) -> Graph:
             continue
         e1 = (min(a, d), max(a, d))
         e2 = (min(c, b), max(c, b))
-        if e1 == e2 or e1 in present or e2 in present:
+        if e1 == e2 or present(e1) or present(e2):
             continue
-        present.discard((min(a, b), max(a, b)))
-        present.discard((min(c, d), max(c, d)))
-        present.add(e1)
-        present.add(e2)
-        edges[i] = e1
-        edges[j] = e2
-        changed = True
-    if not changed:
+        overlay[(a, b)] = False
+        overlay[(min(c, d), max(c, d))] = False
+        overlay[e1] = True
+        overlay[e2] = True
+        slots[i] = e1
+        slots[j] = e2
+    if not slots:
         return graph
-    try:
-        return Graph(graph.n, edges, name=graph.name)
-    except GraphConstructionError as exc:  # pragma: no cover - defensive
-        raise ProcessError(f"churn produced an invalid graph: {exc}") from exc
+    before = {tuple(base[i].tolist()) for i in slots}
+    after = set(slots.values())
+    removed = np.array(sorted(before - after), dtype=np.int64).reshape(-1, 2)
+    added = np.array(sorted(after - before), dtype=np.int64).reshape(-1, 2)
+    return graph._with_swapped_edges(removed, added)
 
 
 class Substrate:

@@ -45,7 +45,9 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge], name: str = "") -> None:
         if n < 1:
             raise GraphConstructionError(f"graph needs at least one vertex, got n={n}")
-        edge_list = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_list = np.asarray(edges, dtype=np.int64)
         if edge_list.size == 0:
             edge_list = edge_list.reshape(0, 2)
         if edge_list.ndim != 2 or edge_list.shape[1] != 2:
@@ -88,6 +90,78 @@ class Graph:
         order = np.lexsort((edge_array[:, 1], edge_array[:, 0])) if m else np.array([], dtype=np.int64)
         self._edge_array = edge_array[order]
         self._edge_array.setflags(write=False)
+
+    def _with_swapped_edges(self, removed: np.ndarray, added: np.ndarray) -> "Graph":
+        """A new graph with the ``removed`` edges replaced by ``added``.
+
+        Both are ``(r, 2)`` arrays of present / absent edges with
+        ``u < v`` rows, sorted lexicographically, and together they must
+        leave every degree unchanged (a set of double edge swaps).  Then
+        ``indptr`` and ``degrees`` carry over shared, only the touched
+        CSR rows are re-sorted in a copy of ``indices``, and
+        ``edge_array`` is merged rather than re-sorted — the result
+        equals ``Graph(n, edges)`` array for array at O(r·(log m + d))
+        work plus copying the two arrays.  ``self`` is left untouched.
+        """
+        n = self._n
+        graph = object.__new__(Graph)
+        graph._n, graph._m, graph.name = n, self._m, self.name
+        graph._indptr = self._indptr
+        graph._degrees = self.degrees
+        graph._indices = self._indices
+        graph._edge_array = self._edge_array
+        if not removed.size:
+            return graph
+
+        # Gather the touched rows as sorted (row, neighbour) keys.
+        # Degrees are unchanged, so the touched vertices are exactly the
+        # removed edges' endpoints.
+        r = removed.shape[0]
+        rows = np.unique(removed)
+        lens = self.degrees[rows]
+        starts = np.cumsum(lens) - lens
+        slots = np.repeat(self._indptr[rows] - starts, lens) + np.arange(starts[-1] + lens[-1])
+        row_keys = np.repeat(rows, lens) * n + self._indices[slots]
+
+        # edge_array: an edge (x, y) sorts after every edge with a
+        # smaller first endpoint and after x's neighbours in (x, y).
+        # One merge pass over the old rows skips each removed edge and
+        # splices each added one in at its rank (added before removed
+        # on a tie, added edges in their sorted order).
+        edges = np.concatenate([removed, added])
+        x, y = edges.T
+        key, flipped = x * n + y, y * n + x
+        ranks = (
+            self._edge_array[:, 0].searchsorted(x)
+            + row_keys.searchsorted(key)
+            - row_keys.searchsorted(x * n + x, "right")
+        )
+        pieces = []
+        cut = 0
+        for rank, is_removed, k in sorted(zip(ranks.tolist(), [1] * r + [0] * r, range(2 * r))):
+            pieces.append(self._edge_array[cut:rank])
+            if is_removed:
+                cut = rank + 1
+            else:
+                pieces.append(edges[k : k + 1])
+                cut = rank
+        pieces.append(self._edge_array[cut:])
+        edge_array = np.concatenate(pieces)
+
+        # indices: overwrite the removed keys with the added ones and
+        # re-sort; the sorted keys refill the same row slots one for one.
+        row_keys[row_keys.searchsorted(np.concatenate([key[:r], flipped[:r]]))] = (
+            np.concatenate([key[r:], flipped[r:]])
+        )
+        row_keys.sort()
+        indices = self._indices.copy()
+        indices[slots] = row_keys % n
+
+        indices.setflags(write=False)
+        edge_array.setflags(write=False)
+        graph._indices = indices
+        graph._edge_array = edge_array
+        return graph
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -48,6 +48,24 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError):
             Graph(3, [(0, 1, 2)])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 0)], [(0, 1), (1, 0)], [(0, 3)], [(-1, 0)], [(0, 1, 2)]],
+        ids=["self-loop", "duplicate", "too-large", "negative", "malformed"],
+    )
+    def test_array_input_keeps_every_validation(self, edges):
+        with pytest.raises(GraphConstructionError):
+            Graph(3, np.array(edges))
+
+    def test_array_input_matches_list_input(self):
+        edges = [(2, 0), (1, 2), (3, 1), (0, 3)]
+        from_array = Graph(4, np.array(edges))
+        from_list = Graph(4, edges)
+        assert np.array_equal(from_array.edge_array, from_list.edge_array)
+        assert np.array_equal(from_array.indices, from_list.indices)
+        assert np.array_equal(from_array.indptr, from_list.indptr)
+        assert Graph(3, np.empty((0, 2), dtype=np.int64)).m == 0
+
 
 class TestAccessors:
     def test_degrees_sum_to_2m(self, any_graph):

@@ -125,6 +125,16 @@ class TestSubstrate:
         assert substrate.epoch > 0
         assert np.array_equal(substrate.graph.degrees, degrees)
 
+    def test_epochs_share_offsets_and_degrees(self):
+        # Swaps never move CSR offsets, so epochs share them (and the
+        # degrees the vertex schedulers cache) instead of copying.
+        substrate = self._substrate()
+        first = substrate.graph
+        substrate.advance_to(10)
+        assert substrate.graph is not first
+        assert substrate.graph.indptr is first.indptr
+        assert substrate.graph.degrees is first.degrees
+
 
 class TestFrozenState:
     def _state(self, frozen):
