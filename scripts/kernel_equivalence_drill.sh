@@ -4,6 +4,9 @@
 #
 # Runs E1 (--quick) once per backend — loop, block, compiled — and
 # byte-compares the JSON reports pairwise against the loop reference.
+# E11 (vertex vs edge process on the lollipop) does the same for
+# run_div's two-adjacent milestone, which the block kernel reads off
+# its stop timeline, on both processes and an irregular graph.
 # Then repeats the comparison for the non-static substrate scenarios:
 # E17 (zealots: frozen vertices through every commit path) and E18
 # (edge churn: epoch-crossing runs with scheduler cache rebuilds) —
@@ -33,10 +36,11 @@ else
     say "numba not installed - compiled leg skipped (would resolve to block)"
 fi
 
-# E1: the static-substrate reference comparison. E17/E18: zealots and
-# edge churn — the scenario legs added with the substrate contract.
-# E19: biased and adversarial scheduling (kernel column normalised).
-EXPERIMENTS="E1 E17 E18 E19"
+# E1: the static-substrate reference comparison. E11: the two-adjacent
+# milestone under both processes. E17/E18: zealots and edge churn — the
+# scenario legs added with the substrate contract. E19: biased and
+# adversarial scheduling (kernel column normalised).
+EXPERIMENTS="E1 E11 E17 E18 E19"
 
 # Rewrite every table's `kernel` column to "*" so reports that differ
 # only in the recorded backend compare equal.

@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="engine execution kernel: 'loop' (per-step reference), "
         "'block' (vectorized conflict-free segments), 'compiled' "
         "(numba machine-code loop; falls back to block without numba) "
-        "or 'auto' (default; block wherever the dynamics supports it). "
+        "or 'auto' (default; block on large graphs where the dynamics "
+        "supports it, else loop). "
         "Reports are bit-for-bit identical across kernels "
         "(docs/kernels.md)",
     )

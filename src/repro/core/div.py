@@ -97,9 +97,9 @@ def run_div(
         Extra observers, e.g. :class:`~repro.core.observers.WeightTrace`.
     kernel:
         Execution backend (``"auto"``, ``"loop"`` or ``"block"``); see
-        :func:`repro.core.engine.run_dynamics`. Note ``run_div`` always
-        tracks the two-adjacent hitting time through a change observer,
-        so the block kernel runs in its exact replay mode here.
+        :func:`repro.core.engine.run_dynamics`. The two-adjacent time
+        is a milestone the block kernel reads off its stop timeline;
+        other change observers move the run to the loop kernel.
     frozen:
         Optional zealot specification — a boolean mask of length ``n``
         or a sequence of vertex ids whose opinions never change (see
@@ -118,7 +118,7 @@ def run_div(
         stop = frozen_consensus(state)
     initial_mean = state.mean()
     initial_weighted_mean = state.weighted_mean()
-    tracker = FirstTimeTracker(lambda s: s.is_two_adjacent, label="two_adjacent")
+    tracker = FirstTimeTracker(make_stop_condition("two_adjacent"), label="two_adjacent")
     result = run_dynamics(
         state,
         make_scheduler(substrate, process),

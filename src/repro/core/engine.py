@@ -104,7 +104,9 @@ def run_dynamics(
         Execution backend: ``"loop"``, ``"block"``, ``"compiled"`` or
         ``"auto"`` (the default — honours the ambient
         :func:`repro.core.kernels.use_kernel` override, then picks
-        ``"block"`` whenever the dynamics supports it). Unsatisfiable
+        ``"block"`` on graphs of at least
+        :data:`repro.core.kernels.AUTO_BLOCK_MIN_N` vertices when the
+        dynamics supports it, else ``"loop"``). Unsatisfiable
         requests degrade ``compiled -> block -> loop``; kernels are
         bit-identical; see ``docs/kernels.md``.
     """

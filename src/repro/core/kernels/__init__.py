@@ -7,9 +7,10 @@
     The per-step reference implementation (the engine's original loop,
     extracted verbatim). Works with every dynamic.
 ``"block"``
-    Vectorized application of conflict-free scheduler segments. Only
+    Vectorized application of conflict-free scheduler windows. Only
     dynamics implementing :meth:`Dynamics.step_block` (DIV, pull, push)
-    can use it; for the rest it transparently falls back to the loop.
+    can use it; for the rest, and for runs that need per-change
+    callbacks, it transparently falls back to the loop.
 ``"compiled"``
     The per-pair recurrence as one numba ``@njit`` machine-code loop
     over the state's flat int64 buffers. Needs numba (an optional
@@ -28,8 +29,8 @@ whole campaign::
         run_trials(...)        # every engine call resolves "auto" -> block
 
 mirroring how :mod:`repro.obs.metrics` scopes its active sink. The
-default ``"auto"`` resolves to the block kernel whenever the dynamics
-supports it.
+default ``"auto"`` picks the block kernel whenever the dynamics supports
+it and the graph has at least :data:`AUTO_BLOCK_MIN_N` vertices.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from repro.core.kernels.loop import LoopKernel
 from repro.errors import ProcessError
 
 __all__ = [
+    "AUTO_BLOCK_MIN_N",
     "KERNEL_NAMES",
     "NUMBA_AVAILABLE",
     "BlockKernel",
@@ -85,6 +87,11 @@ _KERNELS = {
 
 #: Kernel specs accepted by the engine entry points.
 KERNEL_NAMES = ("auto",) + tuple(sorted(_KERNELS))
+
+#: Fewest vertices on which ``"auto"`` picks block: below it block's
+#: set-up and per-window numpy calls outweigh the loop's per-step
+#: dispatch (measured crossover in ``docs/kernels.md``).
+AUTO_BLOCK_MIN_N = 512
 
 # Ambient kernel override for ``kernel="auto"`` calls, innermost wins —
 # same scoping idiom as ``repro.obs.metrics._ACTIVE``. Note this stack
@@ -139,15 +146,16 @@ def resolve_kernel(
     """Resolve a kernel spec against a concrete dynamics.
 
     ``"auto"`` consults the ambient :func:`use_kernel` override first and
-    otherwise picks the block kernel whenever the dynamics supports it
+    otherwise picks the block kernel when the dynamics supports it and
+    ``state`` (if given) has at least :data:`AUTO_BLOCK_MIN_N` vertices
     (``"compiled"`` is opt-in: its speed-up depends on numba being
     installed, so ``"auto"`` stays dependency-free and predictable).
     Unsatisfiable requests degrade transparently down the chain
     ``compiled -> block -> loop``: ``"compiled"`` without an importable
     numba or without a ``compiled_id`` on the dynamics becomes
     ``"block"``; ``"block"`` for a dynamics without :meth:`step_block`
-    (per-step RNG draws or whole-neighbourhood polls cannot be replayed
-    vectorized) becomes ``"loop"``.  Check the resolved name on the
+    (per-step RNG draws or whole-neighbourhood polls cannot be
+    vectorized) becomes ``"loop"``.  Check the executed name on the
     result (``RunResult.kernel``) when it matters.
 
     ``state`` and ``substrate`` carry the run's scenario features: when
@@ -165,7 +173,8 @@ def resolve_kernel(
     if name == "auto":
         name = active_kernel() or "auto"
     if name == "auto":
-        name = "block" if supports_block(dynamics) else "loop"
+        small = state is not None and state.n < AUTO_BLOCK_MIN_N
+        name = "block" if supports_block(dynamics) and not small else "loop"
     if name != "loop":
         needs = []
         if state is not None and state.has_frozen:

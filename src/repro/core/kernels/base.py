@@ -72,9 +72,9 @@ class KernelRun:
     ``blocks`` and ``changes`` feed the metrics/trace span so both
     kernels stay comparable in the observability layer. ``kernel``,
     when set, names the backend that actually executed the run — a
-    kernel that delegates mid-execution (the compiled kernel hands
-    opaque stop conditions and change observers to the block kernel)
-    reports the delegate here so ``RunResult.kernel`` never lies.
+    kernel that delegates at execution time (compiled to block, block
+    to loop: see their modules) reports the delegate here so
+    ``RunResult.kernel`` never lies.
     """
 
     steps: int

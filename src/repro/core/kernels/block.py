@@ -21,22 +21,20 @@ This kernel removes it for the pairwise dynamics (DIV, pull, push):
    outcomes, stop reasons and step counts match the loop exactly.
 
 The window rule is *optimistic*: only vertices whose opinion actually
-changed can invalidate a later read, so windows stretch far beyond the
-value-independent segmentation of :func:`conflict_free_bounds` (which
-splits on any reappearance) — crucially so late in a run, when almost
-no interaction changes anything and windows grow to whole blocks.  The
-lookahead length adapts to the realised window so little proposal work
-is thrown away when conflicts are frequent.
+changed can invalidate a later read, so windows stretch far beyond a
+value-independent segmentation such as :func:`conflict_free_bounds`
+(which splits on any reappearance) — crucially so late in a run, when
+almost no interaction changes anything and windows grow to whole
+blocks.  The lookahead length adapts to the realised window so little
+proposal work is thrown away when conflicts are frequent.
 
-Change observers need the live state after every single change, so in
-their presence (and for opaque stop callables that publish no
-:class:`StopTerm`) the kernel degrades to *replay*: the block is split
-with :func:`conflict_free_bounds` into segments whose proposals are
-still vectorized and whose no-change steps are skipped, but each
-segment's changes are committed one at a time with observers and the
-stop condition evaluated in between — exact for any observer or
-condition.  Sampled observers are handled without replay by clipping
-windows and segments at their next due step.
+Sampled observers are handled by clipping windows at their next due
+step.  *Milestones* — change observers publishing ``support_range_terms``,
+such as ``run_div``'s two-adjacent :class:`~repro.core.observers.
+FirstTimeTracker` — get their first-hit step from the timeline of step 4.
+Any other change observer, or an opaque stop callable, needs the live
+state after every change: the whole run then goes to the loop kernel,
+reported as ``"loop"`` on :attr:`KernelRun.kernel`.
 """
 
 from __future__ import annotations
@@ -46,6 +44,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.kernels.base import KernelContext, KernelRun, epoch_window
+from repro.core.kernels.loop import LoopKernel
+from repro.core.observers import ENDPOINTS_ONLY
 from repro.core.stopping import MAX_STEPS_REASON, StopTerm, support_range_terms
 
 #: ``first_write`` sentinel for "vertex not changed in this lookahead";
@@ -71,9 +71,8 @@ def conflict_free_bounds(v_block: np.ndarray, w_block: np.ndarray) -> List[int]:
     The segmentation is greedy, i.e. each segment is the longest
     conflict-free prefix of what remains, matching the sequential
     engine's order of application.  It is value-independent — any
-    reappearance splits, changed or not — which is what the replay path
-    needs: proposals for a whole segment must be valid *before* knowing
-    which of them the stop condition will let commit.
+    reappearance splits, changed or not — so proposals for a whole
+    segment are valid before knowing which of them will commit.
     """
     size = int(v_block.size)
     if size == 0:
@@ -127,6 +126,36 @@ def _first_fire(
     return best, best_reason
 
 
+def _gate_terms(terms: Sequence[StopTerm], milestones: list) -> List[StopTerm]:
+    """The stop terms plus those of every pending milestone."""
+    return [*terms, *(term for obs in milestones for term in obs.support_range_terms)]
+
+
+def _record_milestones(
+    milestones: list,
+    support_sizes: np.ndarray,
+    range_widths: np.ndarray,
+    last_index: Optional[int],
+    positions: np.ndarray,
+    steps_before: int,
+) -> list:
+    """Set ``first_step`` on milestones hit in a window's change timeline.
+
+    A hit at change index ``i <= last_index`` (the change the stop fires
+    on; ``None`` when it does not fire) records that change's step: the
+    loop runs change observers before the stop check, so a tie goes to
+    the milestone. Returns the milestones still pending.
+    """
+    pending = []
+    for obs in milestones:
+        index, _ = _first_fire(obs.support_range_terms, support_sizes, range_widths)
+        if index is None or (last_index is not None and index > last_index):
+            pending.append(obs)
+        else:
+            obs.first_step = steps_before + int(positions[index]) + 1
+    return pending
+
+
 def _may_fire(state, pending_changes: int, terms: Sequence[StopTerm]) -> bool:
     """Whether any term could fire within ``pending_changes`` changes.
 
@@ -151,6 +180,17 @@ class BlockKernel:
     name = "block"
 
     def execute(self, ctx: KernelContext) -> KernelRun:
+        terms = support_range_terms(ctx.stop_condition)
+        milestones = [
+            obs for obs in ctx.change_observers
+            if support_range_terms(obs) is not None
+        ]
+        if terms is None or len(milestones) < len(ctx.change_observers):
+            # Per-change callbacks and opaque stops need the live state
+            # after every change; the reference loop is exact for them.
+            run = LoopKernel().execute(ctx)
+            run.kernel = LoopKernel.name
+            return run
         state = ctx.state
         generator = ctx.generator
         scheduler = ctx.scheduler
@@ -160,14 +200,14 @@ class BlockKernel:
         block_size = ctx.block_size
         sampled = ctx.sampled
         intervals = ctx.intervals
-        change_observers = ctx.change_observers
-        terms = support_range_terms(stop_condition)
-        replay = bool(change_observers) or terms is None
 
         for obs in sampled:
             obs.sample(0, state)
         last_sampled = {id(obs): 0 for obs in sampled}
         next_due = list(intervals)
+        # A step-0 sample may already have recorded a milestone.
+        watching = [obs for obs in milestones if obs.first_step is None]
+        gate = _gate_terms(terms, watching)
 
         # Fast-path scratch: first pair index that changed each vertex
         # within the current lookahead (reset after every window), a
@@ -181,10 +221,11 @@ class BlockKernel:
         mask_v = np.empty(block_size, dtype=np.bool_)
         mask_w = np.empty(block_size, dtype=np.bool_)
         lookahead = _MIN_LOOKAHEAD
-        # Without sampled observers nothing can read the degree-weighted
-        # aggregates mid-run, so their bookkeeping is deferred to the
-        # first read after the run (bit-identical, see apply_block).
-        defer_weights = not sampled
+        # Unless a sampled observer comes due mid-run, nothing reads the
+        # degree-weighted aggregates before the run ends, so their
+        # bookkeeping is deferred to the first read after it
+        # (bit-identical, see apply_block).
+        defer_weights = min(intervals, default=ENDPOINTS_ONLY) >= ENDPOINTS_ONLY
 
         reason = stop_condition(state)
         step = 0
@@ -202,39 +243,6 @@ class BlockKernel:
             blocks += 1
             base = step  # steps completed before this block
             pos = 0
-
-            if replay:
-                bounds = conflict_free_bounds(v_block, w_block)
-                bound_index = 1
-                while pos < remaining:
-                    end = bounds[bound_index]
-                    while end <= pos:
-                        bound_index += 1
-                        end = bounds[bound_index]
-                    if next_due:
-                        # Never let a sampled observer come due strictly
-                        # inside a segment; a clipped tail stays
-                        # conflict-free and resumes next iteration.
-                        end = min(end, min(next_due) - base)
-                    seg_v = v_block[pos:end]
-                    seg_w = w_block[pos:end]
-                    changed, targets, new_values = step_block(state, seg_v, seg_w)
-                    fired_at, fire_reason = self._replay_segment(
-                        ctx, seg_v, seg_w, changed, targets, new_values, base + pos
-                    )
-                    changes += fired_at[1]
-                    if fire_reason is not None:
-                        step = fired_at[0]
-                        reason = fire_reason
-                        break
-                    step = base + end
-                    pos = end
-                    if sampled:
-                        step = self._fire_due(
-                            sampled, intervals, next_due, last_sampled, step, state
-                        )
-                continue
-
             while pos < remaining:
                 look = remaining - pos
                 if next_due:
@@ -275,7 +283,7 @@ class BlockKernel:
                         new_values = new_values[:kept]
                 pending = int(targets.size)
                 if pending:
-                    if _may_fire(state, pending, terms):
+                    if _may_fire(state, pending, gate):
                         old_values = state.values[targets]
                         support_sizes, range_widths = state.support_range_timeline(
                             old_values, new_values
@@ -283,6 +291,12 @@ class BlockKernel:
                         fire_index, fire_reason = _first_fire(
                             terms, support_sizes, range_widths
                         )
+                        if watching:
+                            watching = _record_milestones(
+                                watching, support_sizes, range_widths,
+                                fire_index, positions, base + pos,
+                            )
+                            gate = _gate_terms(terms, watching)
                         if fire_index is not None:
                             kept = fire_index + 1
                             state.apply_block(
@@ -325,44 +339,3 @@ class BlockKernel:
                 last_sampled[id(obs)] = step
                 next_due[i] = step + intervals[i]
         return step
-
-    @staticmethod
-    def _replay_segment(
-        ctx: KernelContext,
-        seg_v: np.ndarray,
-        seg_w: np.ndarray,
-        changed: np.ndarray,
-        targets: np.ndarray,
-        new_values: np.ndarray,
-        steps_before: int,
-    ) -> Tuple[Tuple[int, int], Optional[str]]:
-        """Commit one segment's changes one at a time (exact fallback).
-
-        Proposals are already vectorized; this path only walks the
-        changed positions, firing change observers and evaluating the
-        stop condition after each commit exactly like the loop kernel.
-        Returns ``((step, applied_changes), reason)`` where ``reason``
-        is ``None`` when the whole segment was applied; ``step`` is only
-        meaningful when the stop fired.
-        """
-        state = ctx.state
-        stop_condition = ctx.stop_condition
-        change_observers = ctx.change_observers
-        positions = np.flatnonzero(changed)
-        if positions.size == 0:
-            return (0, 0), None
-        target_list = targets.tolist()
-        value_list = new_values.tolist()
-        v_list = seg_v[positions].tolist()
-        w_list = seg_w[positions].tolist()
-        applied = 0
-        for j, offset in enumerate(positions.tolist()):
-            state.apply(target_list[j], value_list[j])
-            applied += 1
-            at_step = steps_before + offset + 1
-            for obs in change_observers:
-                obs.on_change(at_step, v_list[j], w_list[j], state)
-            reason = stop_condition(state)
-            if reason is not None:
-                return (at_step, applied), reason
-        return (0, applied), None

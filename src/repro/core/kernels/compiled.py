@@ -29,7 +29,7 @@ Equivalence is structural rather than reconstructed:
 Anything outside that contract — change observers, opaque stop
 callables, terms without canonical thresholds, dynamics without a
 ``compiled_id`` — delegates the whole run to the block kernel, which is
-exact for every case, and reports the delegation on
+exact for every case, and reports the backend that ran on
 :attr:`KernelRun.kernel`.
 
 numba is an *optional* dependency (``pip install div-repro[compiled]``).
@@ -223,10 +223,10 @@ class CompiledKernel:
             or not supports_compiled(ctx.dynamics)
         ):
             # Outside the canonical contract the block kernel is exact
-            # for every case; report the delegation so RunResult.kernel
-            # names the backend that actually ran.
+            # for every case (handing some runs on to the loop); report
+            # the backend that actually ran on RunResult.kernel.
             run = BlockKernel().execute(ctx)
-            run.kernel = "block"
+            run.kernel = run.kernel or BlockKernel.name
             return run
         reasons, term_support, term_width = thresholds
         core = _consume_pairs

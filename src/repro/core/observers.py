@@ -20,6 +20,7 @@ from typing import Iterator, List, Optional, Protocol, Tuple, Union, runtime_che
 import numpy as np
 
 from repro.core.state import OpinionState
+from repro.core.stopping import support_range_terms
 from repro.errors import ProcessError
 
 #: Interval so large that sampled hooks fire only at step 0 and the end.
@@ -319,6 +320,11 @@ class FirstTimeTracker:
 
     Example: time to reach the two-adjacent stage (the ``τ`` of
     Theorem 1) on a run that continues to full consensus.
+
+    A predicate publishing ``support_range_terms`` (any built-in stop
+    condition) makes the tracker a *milestone*: the block kernel sets
+    ``first_step`` from its stop timeline instead of calling
+    :meth:`on_change`; an opaque predicate sends the run to the loop.
     """
 
     interval = ENDPOINTS_ONLY
@@ -327,6 +333,7 @@ class FirstTimeTracker:
         self.predicate = predicate
         self.label = label
         self.first_step: Optional[int] = None
+        self.support_range_terms = support_range_terms(predicate)
 
     def sample(self, step: int, state: OpinionState) -> None:
         self._check(step, state)

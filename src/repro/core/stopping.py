@@ -75,11 +75,10 @@ def support_range_terms(condition: StopCondition) -> Optional[Tuple[StopTerm, ..
     """The :class:`StopTerm` clauses of ``condition``, or ``None``.
 
     ``None`` means the condition is an opaque callable the block kernel
-    cannot reconstruct mid-segment; the kernel then replays opinion
-    changes one at a time (still skipping the no-change steps) and
-    evaluates the condition on the live state, which is exact for any
-    callable. An empty tuple means the condition never fires
-    (:func:`never`).
+    cannot reconstruct mid-window; the run then executes on the loop
+    kernel, which is exact for any callable. An empty tuple means the
+    condition never fires (:func:`never`). On a change observer the
+    attribute marks a *milestone* (see ``FirstTimeTracker``).
     """
     return getattr(condition, "support_range_terms", None)
 

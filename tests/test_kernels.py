@@ -33,7 +33,9 @@ from repro.core import (
     frozen_consensus,
     run_dynamics,
 )
+from repro.core.div import run_div
 from repro.core.kernels import (
+    AUTO_BLOCK_MIN_N,
     BlockKernel,
     CompiledKernel,
     KERNEL_NAMES,
@@ -49,7 +51,13 @@ from repro.core.kernels import (
     supports_compiled,
     use_kernel,
 )
-from repro.core.observers import ChangeLog, SupportTrace, TraceBuffer, WeightTrace
+from repro.core.observers import (
+    ChangeLog,
+    FirstTimeTracker,
+    SupportTrace,
+    TraceBuffer,
+    WeightTrace,
+)
 from repro.core.stopping import (
     first_of,
     never,
@@ -204,9 +212,9 @@ class TestEquivalenceSweep:
         assert observers[0][0].steps  # the trace actually sampled
 
     @pytest.mark.parametrize("seed", [0, 9])
-    def test_change_observers_force_exact_replay(self, seed):
+    def test_change_observers_delegate_to_loop(self, seed):
         """ChangeLog sees every (step, v, w, values) tuple identically —
-        the block kernel degrades to per-change replay for these."""
+        the block kernel hands runs with such observers to the loop."""
         results, observers = run_pair(
             complete_graph(14),
             PullVoting(),
@@ -217,6 +225,7 @@ class TestEquivalenceSweep:
         )
         assert_equivalent(results, observers)
         assert observers[0][0].entries == observers[1][0].entries
+        assert results[1].kernel == "loop"
 
     def test_small_block_size_hits_segment_boundaries(self):
         results, observers = run_pair(
@@ -350,6 +359,170 @@ class TestScenarioEquivalenceSweep:
             np.testing.assert_array_equal(
                 other.state.values, reference.state.values
             )
+
+
+def tracked_run(kernel, graph, opinions, seed, *, stop="consensus",
+                frozen=None, plan=None, observers=(), block_size=8192):
+    """``run_div``'s configuration through ``run_dynamics``: DIV on the
+    vertex process with a two-adjacent :class:`FirstTimeTracker`, so
+    block size, churn and zealots can be varied.  Returns the result
+    and the tracker's first step."""
+    state = OpinionState(graph, opinions, frozen=frozen)
+    if frozen is not None:
+        stop = frozen_consensus(state)
+    tracker = FirstTimeTracker(two_adjacent, label="two_adjacent")
+    with interpreted_compiled():
+        result = run_dynamics(
+            state,
+            VertexScheduler(Substrate(graph, plan)),
+            IncrementalVoting(),
+            stop=stop,
+            rng=seed + 1,
+            max_steps=300_000,
+            observers=[*(factory() for factory in observers), tracker],
+            block_size=block_size,
+            kernel=kernel,
+        )
+    return result, tracker.first_step
+
+
+class TestMilestones:
+    """The two-adjacent time is a milestone: the block kernel (and the
+    compiled kernel, through it) reads its first step off the stop
+    timeline and must land on the loop's step exactly."""
+
+    def assert_same_milestone(self, graph, opinions, seed, **kw):
+        (reference, tau), *others = [
+            tracked_run(kernel, graph, opinions, seed, **kw)
+            for kernel in SWEEP_KERNELS
+        ]
+        for result, other_tau in others:
+            assert other_tau == tau
+            assert result.steps == reference.steps
+            assert result.stop_reason == reference.stop_reason
+            np.testing.assert_array_equal(
+                result.state.values, reference.state.values
+            )
+            assert result.kernel == "block"
+        return reference, tau
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_first_step_matches_loop(self, seed):
+        graph = random_regular_graph(26, 5, rng=3)
+        opinions = make_rng(seed).integers(0, 6, size=graph.n)
+        result, tau = self.assert_same_milestone(graph, opinions, seed)
+        assert 0 < tau < result.steps
+
+    def test_hit_at_step_zero(self):
+        graph = complete_graph(16)
+        opinions = [3, 4] * 8
+        _, tau = self.assert_same_milestone(graph, opinions, 2)
+        assert tau == 0
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_tie_with_the_stop_goes_to_the_milestone(self, seed):
+        graph = complete_graph(19)
+        opinions = make_rng(seed).integers(0, 6, size=graph.n)
+        result, tau = self.assert_same_milestone(
+            graph, opinions, seed, stop="two_adjacent"
+        )
+        assert result.stop_reason == "two_adjacent"
+        assert tau == result.steps
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_windows_clipped_by_sampled_observer(self, seed):
+        graph = random_regular_graph(26, 5, rng=3)
+        opinions = make_rng(seed).integers(0, 6, size=graph.n)
+        self.assert_same_milestone(
+            graph,
+            opinions,
+            seed,
+            observers=(lambda: SupportTrace(interval=13),),
+        )
+
+    def test_small_block_size(self):
+        graph = complete_graph(13)
+        opinions = make_rng(4).integers(0, 6, size=graph.n)
+        self.assert_same_milestone(graph, opinions, 4, block_size=3)
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_churn(self, seed):
+        graph = random_regular_graph(26, 5, rng=3)
+        opinions = make_rng(seed).integers(0, 6, size=graph.n)
+        plan = ChurnPlan(period=150, swaps=8, seed=seed + 11)
+        self.assert_same_milestone(graph, opinions, seed, plan=plan)
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_zealots(self, seed):
+        graph = random_regular_graph(26, 5, rng=3)
+        opinions = make_rng(seed).integers(0, 6, size=graph.n)
+        opinions[0], opinions[13] = 2, 3  # two-adjacent stays reachable
+        result, tau = self.assert_same_milestone(
+            graph, opinions, seed, frozen=[0, 13]
+        )
+        assert tau is not None and result.reached_stop
+
+    def test_large_graph_records_without_on_change(self, monkeypatch):
+        graph = random_regular_graph(AUTO_BLOCK_MIN_N, 6, rng=5)
+        opinions = make_rng(6).integers(0, 4, size=graph.n)
+        reference = run_div(graph, opinions, rng=7, kernel="loop")
+        calls = []
+        original = FirstTimeTracker.on_change
+
+        def counted(self, *args):
+            calls.append(args[0])
+            original(self, *args)
+
+        monkeypatch.setattr(FirstTimeTracker, "on_change", counted)
+        outcome = run_div(graph, opinions, rng=7, kernel="block")
+        assert calls == []
+        assert outcome.two_adjacent_step == reference.two_adjacent_step
+        assert outcome.steps == reference.steps
+        assert outcome.winner == reference.winner
+
+    def test_run_div_compiled_executes_on_block(self, monkeypatch):
+        # run_div's milestone keeps the compiled kernel's delegate on
+        # the window path; opaque predicates go all the way to loop.
+        import repro.core.div as div
+
+        kernels = []
+        original = div.run_dynamics
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            kernels.append(result.kernel)
+            return result
+
+        monkeypatch.setattr(div, "run_dynamics", recording)
+        graph = complete_graph(12)
+        opinions = make_rng(3).integers(0, 6, size=graph.n)
+        with interpreted_compiled():
+            outcomes = [
+                run_div(graph, opinions, rng=4, kernel=kernel)
+                for kernel in SWEEP_KERNELS
+            ]
+        assert kernels == ["loop", "block", "block"]
+        for outcome in outcomes[1:]:
+            assert outcome.two_adjacent_step == outcomes[0].two_adjacent_step
+            assert outcome.steps == outcomes[0].steps
+
+    def test_opaque_predicate_runs_on_loop(self):
+        graph = complete_graph(14)
+        taus = []
+        for kernel in ("loop", "block"):
+            tracker = FirstTimeTracker(lambda s: s.is_two_adjacent)
+            assert tracker.support_range_terms is None
+            result = run_dynamics(
+                initial_state(graph, 2),
+                VertexScheduler(graph),
+                IncrementalVoting(),
+                rng=3,
+                observers=[tracker],
+                kernel=kernel,
+            )
+            assert result.kernel == "loop"
+            taus.append(tracker.first_step)
+        assert taus[0] is not None and taus[0] == taus[1]
 
 
 class TestConflictFreeBounds:
@@ -520,16 +693,32 @@ class TestKernelSelection:
                 pass  # pragma: no cover
 
     def test_result_records_resolved_kernel(self):
-        graph = complete_graph(10)
-        for kernel, expected in (("auto", "block"), ("loop", "loop")):
+        # "auto" picks by size: loop below AUTO_BLOCK_MIN_N vertices,
+        # block from it on; explicit names ignore the size rule.
+        small = complete_graph(10)
+        below = random_regular_graph(AUTO_BLOCK_MIN_N - 1, 4, rng=1)
+        at = random_regular_graph(AUTO_BLOCK_MIN_N, 4, rng=1)
+        for graph, kernel, expected in (
+            (small, "auto", "loop"),
+            (small, "block", "block"),
+            (small, "loop", "loop"),
+            (below, "auto", "loop"),
+            (at, "auto", "block"),
+            (at, "loop", "loop"),
+        ):
             result = run_dynamics(
                 initial_state(graph, 1),
                 VertexScheduler(graph),
                 IncrementalVoting(),
                 rng=2,
+                max_steps=5_000,
                 kernel=kernel,
             )
             assert result.kernel == expected
+        with use_kernel("block"):
+            assert resolve_kernel(
+                "auto", IncrementalVoting(), state=initial_state(small, 1)
+            ).name == "block"
 
     def test_fallback_recorded_on_result(self):
         graph = complete_graph(10)
@@ -572,8 +761,9 @@ class TestCompiledKernel:
 
     def test_change_observer_delegates_to_block(self):
         # Change observers need the live state after every change; the
-        # compiled kernel hands such runs to the (exact) block kernel
-        # and the result must name the backend that actually ran.
+        # compiled kernel hands such runs to the block kernel, which
+        # hands them on to the loop, and the result must name the
+        # backend that actually ran.
         graph = complete_graph(12)
         log = ChangeLog()
         with interpreted_compiled():
@@ -585,7 +775,7 @@ class TestCompiledKernel:
                 kernel="compiled",
                 observers=[log],
             )
-        assert result.kernel == "block"
+        assert result.kernel == "loop"
         assert log.entries
 
     def test_opaque_stop_delegates_to_block(self):
@@ -604,7 +794,7 @@ class TestCompiledKernel:
                 max_steps=10**6,
                 kernel="compiled",
             )
-        assert result.kernel == "block"
+        assert result.kernel == "loop"
         assert result.stop_reason == "shrunk"
 
     @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
