@@ -1,14 +1,15 @@
 """Execution-kernel throughput: loop vs block vs compiled (steps/s).
 
-The acceptance bars: the block kernel at least 3× the sequential
-loop's single-run engine throughput on a random regular expander with
-n ≥ 10⁴ under DIV, and the compiled kernel (where numba is installed)
-beating the block kernel on the same workload.  All backends are
-bit-for-bit equivalent (see ``tests/test_kernels.py`` and
-``docs/kernels.md``), so these benchmarks are purely about wall-clock;
-a run to consensus under each backend asserts equal step counts as a
-cheap sanity check.  The compiled benches skip without numba — the
-backend would silently resolve to ``block`` and measure nothing new.
+Under DIV the loop kernel runs its flat path (the per-pair core over
+list mirrors), so these compare the three ways of running the same
+recurrence on a random regular expander with n ≥ 10⁴; the compiled
+kernel (where numba is installed) must beat the block kernel on the
+same workload.  All backends are bit-for-bit equivalent (see
+``tests/test_kernels.py`` and ``docs/kernels.md``), so these benchmarks
+are purely about wall-clock; a run to consensus under each backend
+asserts equal step counts as a cheap sanity check.  The compiled
+benches skip without numba — the backend would silently resolve like
+``auto`` and measure nothing new.
 """
 
 import numpy as np

@@ -17,8 +17,9 @@
 # short Python filter rewrites it to "*") before the byte comparison —
 # every other byte must still match. The compiled leg only measures something when its jit
 # runtime (numba) is importable; without it the spec would silently
-# resolve to block and the comparison would be vacuous, so it is
-# skipped with a notice instead.
+# resolve like auto and the comparison would be vacuous, so it is
+# skipped with a notice instead. The loop leg runs the per-pair core
+# (the loop kernel's flat path) wherever `--kernel loop` allows it.
 #
 # Usage: scripts/kernel_equivalence_drill.sh [WORK_DIR]   (default: mktemp)
 set -euo pipefail
@@ -33,7 +34,7 @@ KERNELS="loop block"
 if python -c "import sys; from repro.core.kernels import NUMBA_AVAILABLE; sys.exit(0 if NUMBA_AVAILABLE else 1)"; then
     KERNELS="$KERNELS compiled"
 else
-    say "numba not installed - compiled leg skipped (would resolve to block)"
+    say "numba not installed - compiled leg skipped (would resolve like auto)"
 fi
 
 # E1: the static-substrate reference comparison. E11: the two-adjacent

@@ -93,11 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=("auto", "block", "compiled", "loop"),
         default="auto",
-        help="engine execution kernel: 'loop' (per-step reference), "
+        help="engine execution kernel: 'loop' (sequential: one per-pair "
+        "core for DIV/pull/push, one step call per pair otherwise), "
         "'block' (vectorized conflict-free segments), 'compiled' "
-        "(numba machine-code loop; falls back to block without numba) "
-        "or 'auto' (default; block on large graphs where the dynamics "
-        "supports it, else loop). "
+        "(the per-pair core jitted by numba; resolves like 'auto' "
+        "without numba) or 'auto' (default; block on graphs of at "
+        "least 24000 vertices where the dynamics supports it, else "
+        "loop). "
         "Reports are bit-for-bit identical across kernels "
         "(docs/kernels.md)",
     )

@@ -96,10 +96,11 @@ def run_div(
     observers:
         Extra observers, e.g. :class:`~repro.core.observers.WeightTrace`.
     kernel:
-        Execution backend (``"auto"``, ``"loop"`` or ``"block"``); see
-        :func:`repro.core.engine.run_dynamics`. The two-adjacent time
-        is a milestone the block kernel reads off its stop timeline;
-        other change observers move the run to the loop kernel.
+        Execution backend (``"auto"``, ``"loop"``, ``"block"`` or
+        ``"compiled"``); see :func:`repro.core.engine.run_dynamics`.
+        The two-adjacent time is a milestone every kernel records
+        without a per-change callback; other change observers move the
+        run to the loop's per-step path.
     frozen:
         Optional zealot specification — a boolean mask of length ``n``
         or a sequence of vertex ids whose opinions never change (see

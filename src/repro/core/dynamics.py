@@ -30,7 +30,7 @@ compiled fast paths (``step_block`` / ``compiled_id``) must *declare*
 that it honours this contract via a class-level ``substrate_compat``
 tuple naming the scenario features it supports (``"frozen"``,
 ``"churn"``); :func:`repro.core.kernels.resolve_kernel` degrades an
-undeclared dynamic to the reference loop whenever a scenario feature is
+undeclared dynamic to the loop kernel whenever a scenario feature is
 active, and the KER005 project-lint rule rejects fast-path dynamics
 with no declaration at all.
 """
@@ -68,8 +68,8 @@ def supports_substrate(dynamics: Dynamics, feature: str) -> bool:
 
     Features are ``"frozen"`` (zealot masks) and ``"churn"`` (epoch
     rewiring); see :data:`SUBSTRATE_FEATURES`.  Undeclared dynamics run
-    such scenarios on the reference loop kernel only — exact, just not
-    vectorized (see :func:`repro.core.kernels.resolve_kernel`).
+    such scenarios on the loop kernel's per-step path only — exact,
+    just not vectorized (see :func:`repro.core.kernels.resolve_kernel`).
     """
     return feature in getattr(dynamics, "substrate_compat", ())
 
@@ -108,9 +108,9 @@ class IncrementalVoting:
     """
 
     name = "div"
-    #: Dispatch code for the compiled kernel's machine-code pair loop
-    #: (see ``repro.core.kernels.compiled``): 0 = move one unit toward
-    #: the observed value. Only meaningful for RNG-free pairwise
+    #: Dispatch code for the per-pair core the loop and compiled
+    #: kernels share (see ``repro.core.kernels.pairs``): 0 = move one
+    #: unit toward the observed value. Only meaningful for RNG-free pairwise
     #: dynamics whose update depends on ``(X_v, X_w)`` alone.
     compiled_id = 0
     #: Scenario features honoured on every execution path (KER005).
@@ -362,7 +362,7 @@ class NoisyDynamics:
     conflict-free vectorized form: the wrapper deliberately implements
     neither ``step_block`` nor ``compiled_id``, so
     :func:`repro.core.kernels.resolve_kernel` degrades any block or
-    compiled request down to the reference loop and records the
+    compiled request down to the loop kernel and records the
     degradation on ``RunResult.kernel`` — the designed behaviour for
     contract-breaking combinations, not an error (E19 asserts it).
     """

@@ -7,8 +7,8 @@ amortize RNG overhead; observers (see :mod:`~repro.core.observers`) hook
 in without slowing down un-instrumented runs.
 
 The hot loop itself lives in :mod:`repro.core.kernels`: this module
-resolves specs into objects, picks an execution kernel (the per-step
-``"loop"`` reference, the vectorized ``"block"`` kernel, or the numba
+resolves specs into objects, picks an execution kernel (the sequential
+``"loop"`` kernel, the vectorized ``"block"`` kernel, or the numba
 ``"compiled"`` kernel — all bit-identical for any seed) and wraps the
 run in the observability layer (tracing span, metrics counters,
 profiler section).
@@ -106,9 +106,13 @@ def run_dynamics(
         :func:`repro.core.kernels.use_kernel` override, then picks
         ``"block"`` on graphs of at least
         :data:`repro.core.kernels.AUTO_BLOCK_MIN_N` vertices when the
-        dynamics supports it, else ``"loop"``). Unsatisfiable
-        requests degrade ``compiled -> block -> loop``; kernels are
-        bit-identical; see ``docs/kernels.md``.
+        dynamics supports it, else ``"loop"``). ``"compiled"`` without
+        numba resolves like ``"auto"``, ``"block"`` without
+        ``step_block`` becomes ``"loop"``; kernels are bit-identical;
+        see ``docs/kernels.md``. A loop run that cannot use the
+        per-pair core says why on the ``engine.run`` span
+        (``loop_fallback``) and in an ``engine.loop_fallback.<reason>``
+        counter.
     """
     dynamics = make_dynamics(dynamics)
     stop_condition: StopCondition = make_stop_condition(stop)
@@ -187,6 +191,7 @@ def run_dynamics(
                 opinion_changes=run.changes,
                 rng_blocks=run.blocks,
                 n=state.n,
+                loop_fallback=run.loop_fallback,
             )
             phase_obs.emit(span)
         if metrics is not None:
@@ -194,6 +199,8 @@ def run_dynamics(
             metrics.inc("engine.steps", run.steps)
             metrics.inc("engine.opinion_changes", run.changes)
             metrics.inc("engine.rng_blocks", run.blocks)
+            if run.loop_fallback is not None:
+                metrics.inc(f"engine.loop_fallback.{run.loop_fallback}")
             metrics.observe("engine.run_seconds", time.perf_counter() - started)
     return RunResult(
         steps=run.steps,

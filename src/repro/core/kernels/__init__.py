@@ -1,22 +1,25 @@
 """Backend-selectable execution kernels for the asynchronous engine.
 
 :func:`repro.core.engine.run_dynamics` delegates its hot loop to an
-*execution kernel*. Two ship with the package:
+*execution kernel*. Three ship with the package:
 
 ``"loop"``
-    The per-step reference implementation (the engine's original loop,
-    extracted verbatim). Works with every dynamic.
+    Sequential execution. DIV, pull and push run on its *flat path*:
+    the per-pair core of :mod:`repro.core.kernels.pairs` as plain
+    Python over list mirrors of the state. Every other run (other
+    dynamics, opaque stop callables, change observers that are not
+    milestones) takes its per-step path, one :meth:`Dynamics.step`
+    call per pair; the reason is recorded on ``KernelRun.loop_fallback``.
+    Works with every dynamic.
 ``"block"``
     Vectorized application of conflict-free scheduler windows. Only
     dynamics implementing :meth:`Dynamics.step_block` (DIV, pull, push)
-    can use it; for the rest, and for runs that need per-change
-    callbacks, it transparently falls back to the loop.
+    can use it; runs that need per-change callbacks go to the loop.
 ``"compiled"``
-    The per-pair recurrence as one numba ``@njit`` machine-code loop
-    over the state's flat int64 buffers. Needs numba (an optional
-    extra) and a dynamics publishing a ``compiled_id`` (DIV, pull,
-    push); otherwise it transparently falls back to the block kernel
-    (and through it to the loop).
+    The loop's per-pair core, jitted by numba over the state's own
+    arrays. Needs numba (an optional extra) and a dynamics publishing
+    a ``compiled_id`` (DIV, pull, push); otherwise the spec resolves
+    like ``"auto"``.
 
 All kernels consume the RNG identically and fire stopping conditions
 and observers at the same steps, so results are bit-for-bit identical
@@ -38,11 +41,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from repro.core.dynamics import Dynamics, supports_substrate
+from repro.core.dynamics import Dynamics
 from repro.core.kernels.base import (
     ExecutionKernel,
     KernelContext,
     KernelRun,
+    declares_scenario,
     epoch_window,
     supports_block,
 )
@@ -52,9 +56,9 @@ from repro.core.kernels.compiled import (
     CompiledKernel,
     compiled_runtime_available,
     interpreted_compiled,
-    supports_compiled,
 )
 from repro.core.kernels.loop import LoopKernel
+from repro.core.kernels.pairs import supports_compiled
 from repro.errors import ProcessError
 
 __all__ = [
@@ -89,9 +93,9 @@ _KERNELS = {
 KERNEL_NAMES = ("auto",) + tuple(sorted(_KERNELS))
 
 #: Fewest vertices on which ``"auto"`` picks block: below it block's
-#: set-up and per-window numpy calls outweigh the loop's per-step
-#: dispatch (measured crossover in ``docs/kernels.md``).
-AUTO_BLOCK_MIN_N = 512
+#: set-up and per-window numpy calls outweigh the loop's per-pair core
+#: (measured crossover in ``docs/kernels.md``).
+AUTO_BLOCK_MIN_N = 24000
 
 # Ambient kernel override for ``kernel="auto"`` calls, innermost wins —
 # same scoping idiom as ``repro.obs.metrics._ACTIVE``. Note this stack
@@ -136,6 +140,12 @@ def make_kernel(name: str) -> ExecutionKernel:
         raise ProcessError(f"unknown kernel {name!r}; known: {known}") from None
 
 
+def _auto_kernel(dynamics: Dynamics, state) -> str:
+    """``"auto"``'s size rule: block on large graphs, else the loop."""
+    small = state is not None and state.n < AUTO_BLOCK_MIN_N
+    return "block" if supports_block(dynamics) and not small else "loop"
+
+
 def resolve_kernel(
     spec: str,
     dynamics: Dynamics,
@@ -147,24 +157,24 @@ def resolve_kernel(
 
     ``"auto"`` consults the ambient :func:`use_kernel` override first and
     otherwise picks the block kernel when the dynamics supports it and
-    ``state`` (if given) has at least :data:`AUTO_BLOCK_MIN_N` vertices
-    (``"compiled"`` is opt-in: its speed-up depends on numba being
-    installed, so ``"auto"`` stays dependency-free and predictable).
-    Unsatisfiable requests degrade transparently down the chain
-    ``compiled -> block -> loop``: ``"compiled"`` without an importable
-    numba or without a ``compiled_id`` on the dynamics becomes
-    ``"block"``; ``"block"`` for a dynamics without :meth:`step_block`
-    (per-step RNG draws or whole-neighbourhood polls cannot be
-    vectorized) becomes ``"loop"``.  Check the executed name on the
-    result (``RunResult.kernel``) when it matters.
+    ``state`` (if given) has at least :data:`AUTO_BLOCK_MIN_N` vertices,
+    else the loop (``"compiled"`` is opt-in: its speed-up depends on
+    numba being installed, so ``"auto"`` stays dependency-free and
+    predictable).  Unsatisfiable requests degrade transparently:
+    ``"compiled"`` without an importable numba or without a
+    ``compiled_id`` on the dynamics resolves like ``"auto"``;
+    ``"block"`` for a dynamics without :meth:`step_block` (per-step RNG
+    draws or whole-neighbourhood polls cannot be vectorized) becomes
+    ``"loop"``.  Check the executed name on the result
+    (``RunResult.kernel``) when it matters.
 
     ``state`` and ``substrate`` carry the run's scenario features: when
     zealots are frozen on the state or the substrate churns, a dynamics
     that does not *declare* the matching ``substrate_compat`` feature
     (see :func:`repro.core.dynamics.supports_substrate`) degrades to the
-    reference loop — the loop's per-step :meth:`OpinionState.apply`
-    honours the mask regardless of the dynamics, so it is the one
-    backend that is exact for undeclared code.  The degradation is
+    loop — its per-step path honours the mask through
+    :meth:`OpinionState.apply` regardless of the dynamics, so it is the
+    one backend that is exact for undeclared code.  The degradation is
     recorded on ``RunResult.kernel`` like every other, so scenario runs
     never silently diverge across kernels (lint rule KER005 enforces
     the declaration on new fast-path dynamics).
@@ -173,20 +183,13 @@ def resolve_kernel(
     if name == "auto":
         name = active_kernel() or "auto"
     if name == "auto":
-        small = state is not None and state.n < AUTO_BLOCK_MIN_N
-        name = "block" if supports_block(dynamics) and not small else "loop"
-    if name != "loop":
-        needs = []
-        if state is not None and state.has_frozen:
-            needs.append("frozen")
-        if substrate is not None and not substrate.is_static:
-            needs.append("churn")
-        if any(not supports_substrate(dynamics, f) for f in needs):
-            name = "loop"
+        name = _auto_kernel(dynamics, state)
+    if name != "loop" and not declares_scenario(dynamics, state, substrate):
+        name = "loop"
     if name == "compiled" and not (
         compiled_runtime_available() and supports_compiled(dynamics)
     ):
-        name = "block"
+        name = _auto_kernel(dynamics, state)
     if name == "block" and not supports_block(dynamics):
         name = "loop"
     return make_kernel(name)

@@ -4,19 +4,21 @@ A *kernel* is the strategy :func:`repro.core.engine.run_dynamics` uses
 to turn scheduler blocks of interaction pairs into state updates. Every
 kernel implements the same contract:
 
-* it consumes the scheduler and RNG exactly like the reference loop
+* it consumes the scheduler and RNG exactly like sequential execution
   (one ``draw_block`` of the same size per iteration), so the random
   stream — and therefore every outcome — is independent of the kernel;
 * it fires stopping conditions, sampled observers and change observers
-  at the exact steps the reference loop would, including the implicit
+  at the exact steps sequential execution would, including the implicit
   step-0 sample and the final-step flush;
 * it reports the same counters (steps, stop reason, opinion changes,
   RNG blocks) for observability.
 
-Two kernels ship with the package: :class:`~repro.core.kernels.loop.
-LoopKernel` (the per-step reference implementation) and
-:class:`~repro.core.kernels.block.BlockKernel` (vectorized conflict-free
-segment application). See ``docs/kernels.md`` for the equivalence
+Three kernels ship with the package: :class:`~repro.core.kernels.loop.
+LoopKernel` (sequential: the per-pair core over list mirrors, or one
+``Dynamics.step`` per pair), :class:`~repro.core.kernels.block.
+BlockKernel` (vectorized conflict-free segment application) and
+:class:`~repro.core.kernels.compiled.CompiledKernel` (the loop's
+per-pair core, jitted). See ``docs/kernels.md`` for the equivalence
 argument.
 """
 
@@ -27,7 +29,7 @@ from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.dynamics import Dynamics
+from repro.core.dynamics import Dynamics, supports_substrate
 from repro.core.observers import EngineObserver
 from repro.core.schedulers import Scheduler
 from repro.core.state import OpinionState
@@ -72,9 +74,12 @@ class KernelRun:
     ``blocks`` and ``changes`` feed the metrics/trace span so both
     kernels stay comparable in the observability layer. ``kernel``,
     when set, names the backend that actually executed the run — a
-    kernel that delegates at execution time (compiled to block, block
-    to loop: see their modules) reports the delegate here so
-    ``RunResult.kernel`` never lies.
+    kernel that delegates at execution time (compiled or block to
+    loop: see their modules) reports the delegate here so
+    ``RunResult.kernel`` never lies. ``loop_fallback``, when set, says
+    why the run took the loop's per-step path instead of the per-pair
+    core: ``"dynamics"``, ``"opaque_stop"`` or ``"change_observer"``
+    (see :func:`repro.core.kernels.pairs.plan_pairs`).
     """
 
     steps: int
@@ -82,6 +87,7 @@ class KernelRun:
     blocks: int
     changes: int
     kernel: Optional[str] = None
+    loop_fallback: Optional[str] = None
 
 
 class ExecutionKernel(Protocol):
@@ -94,9 +100,33 @@ class ExecutionKernel(Protocol):
         ...  # pragma: no cover - protocol
 
 
+def declares_scenario(dynamics: Dynamics, state, substrate) -> bool:
+    """Whether ``dynamics`` declares every scenario feature the run uses.
+
+    The features are zealots frozen on ``state`` (``"frozen"``) and a
+    churning ``substrate`` (``"churn"``); see
+    :func:`repro.core.dynamics.supports_substrate`.
+    """
+    needs: List[str] = []
+    if state is not None and state.has_frozen:
+        needs.append("frozen")
+    if substrate is not None and not substrate.is_static:
+        needs.append("churn")
+    return all(supports_substrate(dynamics, feature) for feature in needs)
+
+
 def supports_block(dynamics: Dynamics) -> bool:
     """Whether ``dynamics`` can run on the vectorized block kernel."""
     return callable(getattr(dynamics, "step_block", None))
+
+
+def fire_due(sampled, intervals, next_due, last_sampled, step, state) -> None:
+    """Fire every sampled observer whose next due step was reached."""
+    for i, obs in enumerate(sampled):
+        if step >= next_due[i]:
+            obs.sample(step, state)
+            last_sampled[id(obs)] = step
+            next_due[i] = step + intervals[i]
 
 
 def epoch_window(ctx: KernelContext, step: int, remaining: int) -> int:

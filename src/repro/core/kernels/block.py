@@ -1,9 +1,10 @@
 """Vectorized execution: conflict-free block application.
 
-The reference loop pays one Python-level ``Dynamics.step`` call per
-asynchronous step — the single hot path under every paper-scale sweep
-(Theorem 1's ``T = o(n²)`` budget means hundreds of millions of steps).
-This kernel removes it for the pairwise dynamics (DIV, pull, push):
+The loop kernel pays one Python-level pair update per asynchronous
+step — the single hot path under every paper-scale sweep (Theorem 1's
+``T = o(n²)`` budget means hundreds of millions of steps).  On large
+graphs this kernel amortises it for the pairwise dynamics (DIV, pull,
+push):
 
 1. draw the scheduler block exactly like the loop (identical RNG use);
 2. let the dynamics propose updates for a *lookahead* of upcoming pairs
@@ -43,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels.base import KernelContext, KernelRun, epoch_window
+from repro.core.kernels.base import KernelContext, KernelRun, epoch_window, fire_due
 from repro.core.kernels.loop import LoopKernel
 from repro.core.observers import ENDPOINTS_ONLY
 from repro.core.stopping import MAX_STEPS_REASON, StopTerm, support_range_terms
@@ -187,7 +188,8 @@ class BlockKernel:
         ]
         if terms is None or len(milestones) < len(ctx.change_observers):
             # Per-change callbacks and opaque stops need the live state
-            # after every change; the reference loop is exact for them.
+            # after every change; the loop's per-step path is exact for
+            # them.
             run = LoopKernel().execute(ctx)
             run.kernel = LoopKernel.name
             return run
@@ -319,9 +321,7 @@ class BlockKernel:
                 # changes dry up it doubles out to whole blocks.
                 lookahead = min(block_size, max(_MIN_LOOKAHEAD, 2 * window))
                 if sampled:
-                    step = self._fire_due(
-                        sampled, intervals, next_due, last_sampled, step, state
-                    )
+                    fire_due(sampled, intervals, next_due, last_sampled, step, state)
 
         for obs in sampled:
             if last_sampled[id(obs)] != step:
@@ -329,13 +329,3 @@ class BlockKernel:
         return KernelRun(
             steps=step, stop_reason=reason, blocks=blocks, changes=changes
         )
-
-    @staticmethod
-    def _fire_due(sampled, intervals, next_due, last_sampled, step, state) -> int:
-        """Fire every sampled observer whose next due step was reached."""
-        for i, obs in enumerate(sampled):
-            if step >= next_due[i]:
-                obs.sample(step, state)
-                last_sampled[id(obs)] = step
-                next_due[i] = step + intervals[i]
-        return step

@@ -1,25 +1,40 @@
-"""The per-step reference kernel.
+"""Sequential execution: every pair applied in order, one at a time.
 
-This is the engine's original hot loop, extracted verbatim from
-``repro.core.engine``: one :meth:`Dynamics.step` call per interaction,
-stopping conditions evaluated after every opinion change, sampled
-observers checked after every step. It works with *every* dynamic —
-including those that draw per-step RNG (median voting, best-of-k) — and
-is the semantic yardstick the block kernel is tested against.
+The loop kernel has two paths.  The *flat path* runs the per-pair core
+(:func:`repro.core.kernels.pairs._consume_pairs`) as plain Python over
+list mirrors of the state; it serves DIV, pull and push whenever the
+stop condition and every change observer publish canonical thresholds
+(:func:`~repro.core.kernels.pairs.plan_pairs`).  Every other run takes
+the *per-step path*: one :meth:`Dynamics.step` call per interaction,
+stopping conditions evaluated after every opinion change, change and
+sampled observers called at every due step.  It works with every
+dynamic — including those that draw per-step RNG (median voting,
+best-of-k) — and with any observer or stop callable; the reason it was
+needed is recorded on :attr:`KernelRun.loop_fallback`.
 """
 
 from __future__ import annotations
 
 from repro.core.kernels.base import KernelContext, KernelRun, epoch_window
+from repro.core.kernels.pairs import _consume_pairs, plan_pairs, run_pairs
 from repro.core.stopping import MAX_STEPS_REASON
 
 
 class LoopKernel:
-    """Reference execution: one Python-level step per interaction."""
+    """Sequential execution: the per-pair core or one step per pair."""
 
     name = "loop"
 
     def execute(self, ctx: KernelContext) -> KernelRun:
+        plan, fallback = plan_pairs(ctx)
+        if plan is not None:
+            return run_pairs(ctx, plan, _consume_pairs, mirror=True)
+        run = self._execute_steps(ctx)
+        run.loop_fallback = fallback
+        return run
+
+    @staticmethod
+    def _execute_steps(ctx: KernelContext) -> KernelRun:
         state = ctx.state
         generator = ctx.generator
         scheduler = ctx.scheduler

@@ -322,9 +322,11 @@ class FirstTimeTracker:
     Theorem 1) on a run that continues to full consensus.
 
     A predicate publishing ``support_range_terms`` (any built-in stop
-    condition) makes the tracker a *milestone*: the block kernel sets
-    ``first_step`` from its stop timeline instead of calling
-    :meth:`on_change`; an opaque predicate sends the run to the loop.
+    condition) makes the tracker a *milestone*: the kernels set
+    ``first_step`` without calling :meth:`on_change` — the block kernel
+    from its stop timeline, the per-pair core (loop and compiled) from
+    its thresholds, checked after the stop's; an opaque predicate sends
+    the run to the loop's per-step path.
     """
 
     interval = ENDPOINTS_ONLY

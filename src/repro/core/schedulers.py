@@ -27,6 +27,10 @@ both are deterministic functions of (seeded RNG, state): since every
 execution kernel draws whole scheduler blocks at identical step counts
 against identical states, state-dependent schedulers keep the
 bit-for-bit kernel-equivalence guarantee (see ``docs/scenarios.md``).
+A scheduler that reads the state must expose it as its ``state``
+attribute: the per-pair core of the loop and compiled kernels keeps
+its own copy of the opinions and commits it to that state before each
+of the scheduler's draws.
 """
 
 from __future__ import annotations

@@ -58,10 +58,11 @@ class StopTerm:
         a conjunction — note ``two_adjacent`` (``support == 1`` or
         ``support == 2 and width == 1``) is equivalent to
         ``support <= 2 and width <= 1`` because width 0 forces support
-        1. The compiled kernel checks these two integer thresholds
-        inside its machine-code loop; a term publishing neither field
-        leaves ``fires`` as the only contract and routes the run to the
-        block kernel's timeline reconstruction instead.
+        1. The per-pair core of the loop and compiled kernels checks
+        these two integer thresholds after every change; a term
+        publishing neither field leaves ``fires`` as the only contract:
+        the block kernel still reconstructs it from its timeline, the
+        loop runs it on its per-step path.
     """
 
     reason: str
@@ -74,9 +75,9 @@ class StopTerm:
 def support_range_terms(condition: StopCondition) -> Optional[Tuple[StopTerm, ...]]:
     """The :class:`StopTerm` clauses of ``condition``, or ``None``.
 
-    ``None`` means the condition is an opaque callable the block kernel
-    cannot reconstruct mid-window; the run then executes on the loop
-    kernel, which is exact for any callable. An empty tuple means the
+    ``None`` means the condition is an opaque callable no kernel can
+    reconstruct from aggregates; the run then executes on the loop
+    kernel's per-step path, which is exact for any callable. An empty tuple means the
     condition never fires (:func:`never`). On a change observer the
     attribute marks a *milestone* (see ``FirstTimeTracker``).
     """
@@ -165,7 +166,7 @@ def frozen_consensus(state: OpinionState) -> StopCondition:
     (they are a run invariant: frozen vertices never change) and returns
     a ``support <= max(1, f)`` condition with reason
     ``"frozen_consensus"``.  It publishes the canonical conjunction
-    form, so zealot runs stay on the block/compiled fast paths.  On a
+    form, so zealot runs stay on the per-pair core and block fast paths.  On a
     zealot-free state it degenerates to exactly :func:`consensus`'s
     threshold.
     """

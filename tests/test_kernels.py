@@ -1,13 +1,14 @@
 """Execution-kernel equivalence and unit tests (loop / block / compiled).
 
-Every kernel's contract is *bit-for-bit* equivalence with the
-sequential reference loop: same final opinions, same step count, same
-stop reason, same observer sequences, for any seed.  The sweep below
-exercises that contract across graphs × dynamics × schedulers × stop
-conditions × observers for both the block and the compiled backend
-(the latter through its interpreted core, so the sweep runs without
-numba); the unit tests pin down the conflict-free segment splitter and
-the batched state operations the kernels rely on.
+Every kernel's contract is *bit-for-bit* equivalence with sequential
+execution: same final opinions, same step count, same stop reason, same
+observer sequences, for any seed.  The sweep below exercises that
+contract across graphs × dynamics × schedulers × stop conditions ×
+observers for the loop kernel's two paths (one ``Dynamics.step`` per
+pair, and the per-pair core over list mirrors), the block kernel and
+the compiled kernel (through its interpreted core, so the sweep runs
+without numba); the unit tests pin down the conflict-free segment
+splitter and the batched state operations the kernels rely on.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from repro.core.observers import (
 )
 from repro.core.stopping import (
     first_of,
+    make_stop_condition,
     never,
     range_at_most,
     support_at_most,
@@ -67,6 +69,8 @@ from repro.core.stopping import (
 )
 from repro.errors import ProcessError
 from repro.graphs import complete_graph, random_regular_graph
+from repro.obs.metrics import collecting
+from repro.obs.tracing import Tracer, activate
 from repro.rng import make_rng
 
 
@@ -75,31 +79,68 @@ def initial_state(graph, seed, k=6):
     return OpinionState(graph, opinions)
 
 
-#: Non-reference kernels the sweep compares against "loop".  The
+#: Legs of every sweep, compared against the first.  ``"steps"`` is the
+#: loop kernel on its per-step path: the same stop condition behind an
+#: opaque wrapper, which the per-pair core cannot read.  ``"loop"`` is
+#: the loop kernel's flat path wherever the dynamics allows it.  The
 #: compiled kernel runs through :func:`interpreted_compiled`, so its
 #: control flow is covered bit-for-bit even without numba (with numba
 #: installed the jitted core is the same function, machine-compiled).
-SWEEP_KERNELS = ("loop", "block", "compiled")
+SWEEP_KERNELS = ("steps", "loop", "block", "compiled")
+
+#: The backend each sweep leg executes on when nothing degrades.
+EXECUTED = {"steps": "loop", "loop": "loop", "block": "block", "compiled": "compiled"}
+
+
+def sweep_leg(kernel, stop):
+    """The ``(kernel, stop)`` arguments of one sweep leg."""
+    if kernel != "steps":
+        return kernel, stop
+    condition = make_stop_condition(stop)
+    return "loop", lambda state: condition(state)
+
+
+def loop_fallback(registry):
+    """The per-step reason a collected run recorded, or ``None``."""
+    prefix = "engine.loop_fallback."
+    reasons = [
+        name[len(prefix):]
+        for name in registry.snapshot().counters
+        if name.startswith(prefix)
+    ]
+    assert len(reasons) <= 1
+    return reasons[0] if reasons else None
 
 
 def run_pair(graph, dynamics, scheduler_cls, *, stop, seed, observers=(), **kw):
-    """Run the same configuration under every kernel; return all results
-    plus the observer sets for sequence comparison."""
+    """Run the same configuration under every sweep leg; return all
+    results plus the observer sets for sequence comparison."""
     results, observer_sets = [], []
     with interpreted_compiled():
-        for kernel in SWEEP_KERNELS:
+        for leg in SWEEP_KERNELS:
+            kernel, leg_stop = sweep_leg(leg, stop)
             state = initial_state(graph, seed)
             obs = [factory() for factory in observers]
-            result = run_dynamics(
-                state,
-                scheduler_cls(graph),
-                dynamics,
-                stop=stop,
-                rng=seed + 1,
-                observers=obs,
-                kernel=kernel,
-                **kw,
-            )
+            with collecting() as registry:
+                result = run_dynamics(
+                    state,
+                    scheduler_cls(graph),
+                    dynamics,
+                    stop=leg_stop,
+                    rng=seed + 1,
+                    observers=obs,
+                    kernel=kernel,
+                    **kw,
+                )
+            if leg == "steps":
+                assert loop_fallback(registry) is not None
+            elif leg == "loop":
+                # The flat path runs exactly when the core can serve
+                # the dynamics and every observer.
+                flat = supports_compiled(dynamics) and not any(
+                    hasattr(o, "on_change") for o in obs
+                )
+                assert (loop_fallback(registry) is None) == flat
             results.append(result)
             observer_sets.append(obs)
     return results, observer_sets
@@ -193,7 +234,7 @@ class TestEquivalenceSweep:
         )
         assert_equivalent(results, observers)
         assert results[0].steps == 173
-        assert not results[1].reached_stop
+        assert not any(r.reached_stop for r in results)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_sampled_observers_identical(self, seed):
@@ -224,8 +265,9 @@ class TestEquivalenceSweep:
             observers=(ChangeLog, lambda: WeightTrace("edge", interval=11)),
         )
         assert_equivalent(results, observers)
-        assert observers[0][0].entries == observers[1][0].entries
-        assert results[1].kernel == "loop"
+        for other in observers[1:]:
+            assert other[0].entries == observers[0][0].entries
+        assert [r.kernel for r in results] == ["loop"] * len(SWEEP_KERNELS)
 
     def test_small_block_size_hits_segment_boundaries(self):
         results, observers = run_pair(
@@ -252,10 +294,11 @@ SCENARIOS = (
 )
 
 
-def run_scenario(scenario, kernel, seed):
+def run_scenario(scenario, kernel, seed, *, block_size=8192, sampled=True):
     """Build a fresh substrate/state/scheduler (substrates mutate in
     place, scenario schedulers bind to a live state) and run one
-    scenario under ``kernel``.  Returns (result, substrate, observers)."""
+    scenario under the sweep leg ``kernel``.  Returns (result,
+    substrate, observers)."""
     graph = random_regular_graph(26, 5, rng=3)
     opinions = make_rng(seed).integers(0, 6, size=graph.n)
     plan = None
@@ -274,7 +317,8 @@ def run_scenario(scenario, kernel, seed):
     dynamics = IncrementalVoting()
     if scenario == "noise":
         dynamics = NoisyDynamics(dynamics, drop=0.2, misread=0.15)
-    observers = [SupportTrace(interval=13)]
+    observers = [SupportTrace(interval=13)] if sampled else []
+    kernel, stop = sweep_leg(kernel, stop)
     result = run_dynamics(
         state,
         scheduler,
@@ -283,14 +327,17 @@ def run_scenario(scenario, kernel, seed):
         rng=seed + 1,
         max_steps=300_000,
         observers=observers,
+        block_size=block_size,
         kernel=kernel,
     )
     return result, substrate, observers
 
 
 class TestScenarioEquivalenceSweep:
-    """{churn, zealots, bias, noise} × {loop, block, compiled}: the
-    kernel contract extends to non-static substrates.  Identical
+    """{churn, zealots, bias, adversarial, noise} × every sweep leg: the
+    kernel contract extends to non-static substrates, and the biased
+    and adversarial schedulers, which read the live state at every
+    draw, see the committed state on the flat path too.  Identical
     outcomes everywhere — except :class:`NoisyDynamics`, which does not
     declare substrate compatibility and must *record* its degradation
     to the loop kernel rather than silently diverge."""
@@ -319,7 +366,23 @@ class TestScenarioEquivalenceSweep:
         else:
             # DIV declares ("frozen", "churn"): the fast backends stay
             # engaged even with zealots and a rewiring substrate.
-            assert [r.kernel for r in results] == list(SWEEP_KERNELS)
+            assert [r.kernel for r in results] == [
+                EXECUTED[leg] for leg in SWEEP_KERNELS
+            ]
+
+    @pytest.mark.parametrize("scenario", ["bias", "adversarial"])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_state_bound_draws_see_committed_state(self, scenario, seed):
+        """Many small blocks and no sampled observer: only the commit
+        before each draw shows the scheduler the state the per-step
+        loop has."""
+        with interpreted_compiled():
+            results = [
+                run_scenario(scenario, leg, seed, block_size=16, sampled=False)[0]
+                for leg in SWEEP_KERNELS
+            ]
+        assert_equivalent(results, [])
+        assert results[0].steps > 16 * 8
 
     @pytest.mark.parametrize("scenario", ["zealots", "churn_zealots"])
     def test_zealot_runs_stop_at_frozen_floor(self, scenario):
@@ -370,6 +433,7 @@ def tracked_run(kernel, graph, opinions, seed, *, stop="consensus",
     state = OpinionState(graph, opinions, frozen=frozen)
     if frozen is not None:
         stop = frozen_consensus(state)
+    kernel, stop = sweep_leg(kernel, stop)
     tracker = FirstTimeTracker(two_adjacent, label="two_adjacent")
     with interpreted_compiled():
         result = run_dynamics(
@@ -387,23 +451,24 @@ def tracked_run(kernel, graph, opinions, seed, *, stop="consensus",
 
 
 class TestMilestones:
-    """The two-adjacent time is a milestone: the block kernel (and the
-    compiled kernel, through it) reads its first step off the stop
-    timeline and must land on the loop's step exactly."""
+    """The two-adjacent time is a milestone: the block kernel reads its
+    first step off the stop timeline, the per-pair core (flat loop and
+    compiled) checks its thresholds after the stop's, and both must
+    land on the per-step loop's ``on_change`` step exactly."""
 
     def assert_same_milestone(self, graph, opinions, seed, **kw):
         (reference, tau), *others = [
             tracked_run(kernel, graph, opinions, seed, **kw)
             for kernel in SWEEP_KERNELS
         ]
-        for result, other_tau in others:
+        for leg, (result, other_tau) in zip(SWEEP_KERNELS[1:], others):
             assert other_tau == tau
             assert result.steps == reference.steps
             assert result.stop_reason == reference.stop_reason
             np.testing.assert_array_equal(
                 result.state.values, reference.state.values
             )
-            assert result.kernel == "block"
+            assert result.kernel == EXECUTED[leg]
         return reference, tau
 
     @pytest.mark.parametrize("seed", [0, 3, 8])
@@ -463,9 +528,12 @@ class TestMilestones:
         assert tau is not None and result.reached_stop
 
     def test_large_graph_records_without_on_change(self, monkeypatch):
-        graph = random_regular_graph(AUTO_BLOCK_MIN_N, 6, rng=5)
+        graph = random_regular_graph(512, 6, rng=5)
         opinions = make_rng(6).integers(0, 4, size=graph.n)
-        reference = run_div(graph, opinions, rng=7, kernel="loop")
+        opaque = make_stop_condition("consensus")
+        reference = run_div(
+            graph, opinions, rng=7, kernel="loop", stop=lambda s: opaque(s)
+        )
         calls = []
         original = FirstTimeTracker.on_change
 
@@ -474,15 +542,17 @@ class TestMilestones:
             original(self, *args)
 
         monkeypatch.setattr(FirstTimeTracker, "on_change", counted)
-        outcome = run_div(graph, opinions, rng=7, kernel="block")
-        assert calls == []
-        assert outcome.two_adjacent_step == reference.two_adjacent_step
-        assert outcome.steps == reference.steps
-        assert outcome.winner == reference.winner
+        for kernel in ("loop", "block"):
+            outcome = run_div(graph, opinions, rng=7, kernel=kernel)
+            assert calls == []
+            assert outcome.two_adjacent_step == reference.two_adjacent_step
+            assert outcome.steps == reference.steps
+            assert outcome.winner == reference.winner
 
-    def test_run_div_compiled_executes_on_block(self, monkeypatch):
-        # run_div's milestone keeps the compiled kernel's delegate on
-        # the window path; opaque predicates go all the way to loop.
+    def test_run_div_compiled_executes_on_compiled(self, monkeypatch):
+        # run_div's milestone is canonical, so it stays on the per-pair
+        # core (flat loop, compiled) and on block's window path; an
+        # opaque stop sends it to the per-step loop.
         import repro.core.div as div
 
         kernels = []
@@ -498,10 +568,12 @@ class TestMilestones:
         opinions = make_rng(3).integers(0, 6, size=graph.n)
         with interpreted_compiled():
             outcomes = [
-                run_div(graph, opinions, rng=4, kernel=kernel)
-                for kernel in SWEEP_KERNELS
+                run_div(graph, opinions, rng=4, kernel=kernel, stop=stop)
+                for kernel, stop in (
+                    sweep_leg(leg, "consensus") for leg in SWEEP_KERNELS
+                )
             ]
-        assert kernels == ["loop", "block", "block"]
+        assert kernels == [EXECUTED[leg] for leg in SWEEP_KERNELS]
         for outcome in outcomes[1:]:
             assert outcome.two_adjacent_step == outcomes[0].two_adjacent_step
             assert outcome.steps == outcomes[0].steps
@@ -523,6 +595,65 @@ class TestMilestones:
             assert result.kernel == "loop"
             taus.append(tracker.first_step)
         assert taus[0] is not None and taus[0] == taus[1]
+
+
+class TestLoopPaths:
+    """Which of its two paths the loop kernel takes, and the recorded
+    reason whenever it is the per-step one."""
+
+    def run(self, dynamics=None, *, kernel="loop", **kw):
+        graph = complete_graph(12)
+        with collecting() as registry, interpreted_compiled():
+            result = run_dynamics(
+                initial_state(graph, 3),
+                VertexScheduler(graph),
+                dynamics or IncrementalVoting(),
+                rng=4,
+                max_steps=10**6,
+                kernel=kernel,
+                **kw,
+            )
+        return result, loop_fallback(registry)
+
+    @pytest.mark.parametrize("dynamics_cls", [IncrementalVoting, PullVoting, PushVoting])
+    def test_pairwise_dynamics_run_flat(self, dynamics_cls):
+        result, fallback = self.run(dynamics_cls())
+        assert result.kernel == "loop" and fallback is None
+
+    @pytest.mark.parametrize("kernel", ["loop", "block", "compiled"])
+    def test_change_log_runs_per_step(self, kernel):
+        log = ChangeLog()
+        result, fallback = self.run(kernel=kernel, observers=[log])
+        assert result.kernel == "loop" and fallback == "change_observer"
+        assert len(log.entries) > 0
+
+    @pytest.mark.parametrize("kernel", ["loop", "block", "compiled"])
+    def test_opaque_stop_runs_per_step(self, kernel):
+        result, fallback = self.run(
+            kernel=kernel, stop=lambda s: "two" if s.support_size <= 2 else None
+        )
+        assert result.kernel == "loop" and fallback == "opaque_stop"
+        assert result.stop_reason == "two"
+
+    def test_other_dynamics_run_per_step(self):
+        for dynamics in (MedianVoting(), NoisyDynamics(IncrementalVoting(), drop=0.1)):
+            result, fallback = self.run(dynamics)
+            assert result.kernel == "loop" and fallback == "dynamics"
+
+    def test_span_records_the_fallback(self):
+        # A tracer attaches PhaseTraceObserver, a per-change observer.
+        graph = complete_graph(12)
+        tracer = Tracer()
+        with activate(tracer):
+            run_dynamics(
+                initial_state(graph, 3),
+                VertexScheduler(graph),
+                IncrementalVoting(),
+                rng=4,
+            )
+        (span,) = [r for r in tracer.records() if r.get("name") == "engine.run"]
+        assert span["kernel"] == "loop"
+        assert span["loop_fallback"] == "change_observer"
 
 
 class TestConflictFreeBounds:
@@ -643,15 +774,22 @@ class TestKernelSelection:
         assert resolve_kernel("block", MedianVoting()).name == "loop"
 
     def test_compiled_falls_back_without_numba(self, monkeypatch):
-        # Without an importable numba the compiled backend must degrade
-        # to the block kernel (then the loop, for non-block dynamics)
-        # so dependency-free environments keep working.
+        # Without an importable numba the compiled backend resolves like
+        # "auto" (the loop below AUTO_BLOCK_MIN_N, block from it on), so
+        # dependency-free environments keep working at the faster of
+        # the two.
         monkeypatch.setattr(
             "repro.core.kernels.compiled.NUMBA_AVAILABLE", False
         )
         assert not compiled_runtime_available()
-        assert resolve_kernel("compiled", IncrementalVoting()).name == "block"
-        assert resolve_kernel("compiled", MedianVoting()).name == "loop"
+        small = initial_state(complete_graph(10), 1)
+        large = initial_state(
+            random_regular_graph(AUTO_BLOCK_MIN_N, 4, rng=1), 1
+        )
+        dynamics = IncrementalVoting()
+        assert resolve_kernel("compiled", dynamics, state=small).name == "loop"
+        assert resolve_kernel("compiled", dynamics, state=large).name == "block"
+        assert resolve_kernel("compiled", MedianVoting(), state=large).name == "loop"
 
     def test_interpreted_compiled_forces_backend(self):
         with interpreted_compiled():
@@ -743,7 +881,7 @@ class TestKernelSelection:
             rng=2,
             kernel="compiled",
         )
-        assert result.kernel == "block"
+        assert result.kernel == "loop"
 
 
 class TestCompiledKernel:
@@ -759,11 +897,10 @@ class TestCompiledKernel:
             )
         assert result.kernel == "compiled"
 
-    def test_change_observer_delegates_to_block(self):
+    def test_change_observer_delegates_to_loop(self):
         # Change observers need the live state after every change; the
-        # compiled kernel hands such runs to the block kernel, which
-        # hands them on to the loop, and the result must name the
-        # backend that actually ran.
+        # compiled kernel hands such runs to the loop's per-step path,
+        # and the result must name the backend that actually ran.
         graph = complete_graph(12)
         log = ChangeLog()
         with interpreted_compiled():
@@ -778,7 +915,7 @@ class TestCompiledKernel:
         assert result.kernel == "loop"
         assert log.entries
 
-    def test_opaque_stop_delegates_to_block(self):
+    def test_opaque_stop_delegates_to_loop(self):
         graph = complete_graph(12)
 
         def opaque(state):
